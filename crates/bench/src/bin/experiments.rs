@@ -4,14 +4,30 @@
 //! The paper's evaluation artefacts are Tables 1–2 (communication / round /
 //! runtime bounds) and Figure 1 (the compressed graph construction); each
 //! subcommand below measures the corresponding claim on seeded synthetic
-//! workloads and prints paper-style rows. See DESIGN.md §5 for the index
-//! and EXPERIMENTS.md for recorded paper-vs-measured results.
+//! workloads and prints paper-style rows. Index (each subcommand's
+//! function documents its claim and expected shape):
+//!
+//! | id | measures |
+//! |---|---|
+//! | `e1`–`e3` | Table 1 median/means rows: bytes and approximation |
+//! | `e4` | Table 1 center row vs Malkomes et al. |
+//! | `e5` | site/coordinator time as the site count grows |
+//! | `e6` | Theorem 3.10 subquadratic centralized median |
+//! | `e7`, `e9` | Table 1 uncertain rows (median/means/center-pp, center-g) |
+//! | `e8` | Figure 1 / Lemmas 5.3–5.5 compressed-graph sandwich |
+//! | `e10`, `e11` | Table 2: counts-only δ variant, one-round rows |
+//! | `g1`, `s1` | sweep-driven grid; streaming throughput and syncs |
+//! | `kernels`, `transport`, `codec` | kernel, backend and codec rows (`BENCH_*.json`) |
+//! | `a1`–`a3` | ablations: grid ρ, partition skew, λ-search iterations |
+//!
+//! The Theorem 3.1 site solver these rows exercise is a substitution; its
+//! rationale is in the `dpc_cluster::median_outliers` module docs.
 //!
 //! Usage:
-//!   cargo run --release -p dpc-bench --bin dpc-experiments -- all
-//!   cargo run --release -p dpc-bench --bin dpc-experiments -- e1 e4 e8
-//!   cargo run --release -p dpc-bench --bin dpc-experiments -- s1   # streaming throughput
-//!   cargo run --release -p dpc-bench --bin dpc-experiments -- g1   # sweep-driven grid
+//!   cargo run --release -p bench --bin dpc-experiments -- all
+//!   cargo run --release -p bench --bin dpc-experiments -- e1 e4 e8
+//!   cargo run --release -p bench --bin dpc-experiments -- s1   # streaming throughput
+//!   cargo run --release -p bench --bin dpc-experiments -- g1   # sweep-driven grid
 //!
 //! Comparative rows (E1, E4, E11, G1) drive the typed `dpc::api::Job` /
 //! `Sweep` front door; rows that inspect protocol internals the

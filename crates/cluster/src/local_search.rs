@@ -1,7 +1,7 @@
 //! Weighted k-median/means local search with a Lagrangian per-point penalty.
 //!
 //! This is the computational core of the Theorem 3.1 substitute (see
-//! DESIGN.md §3): each point either pays its assignment distance or opts out
+//! [`crate::median_outliers`] for the rationale): each point either pays its assignment distance or opts out
 //! for a fixed penalty `λ`, i.e. we minimize
 //!
 //! ```text

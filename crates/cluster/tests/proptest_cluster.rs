@@ -83,6 +83,112 @@ proptest! {
     }
 }
 
+/// Weighted 2-d instances with `0..max_n` points (the empty set included).
+fn arb_weighted(max_n: usize) -> impl Strategy<Value = (PointSet, WeightedSet)> {
+    proptest::collection::vec(
+        (proptest::collection::vec(-1e3f64..1e3, 2..=2), 0.0f64..4.0),
+        0..max_n,
+    )
+    .prop_map(|entries| {
+        let (rows, weights): (Vec<Vec<f64>>, Vec<f64>) = entries.into_iter().unzip();
+        let ps = if rows.is_empty() {
+            PointSet::new(2)
+        } else {
+            PointSet::from_rows(&rows)
+        };
+        let w = WeightedSet::from_parts((0..rows.len()).collect(), weights);
+        (ps, w)
+    })
+}
+
+/// Bit-for-bit solution equality: centers, cost bits, outliers (position
+/// and weight bits) and assignment.
+fn assert_bit_identical(grid: &Solution, single: &Solution, t: f64) {
+    let bits = |s: &Solution| -> Vec<(usize, u64)> {
+        s.outliers.iter().map(|&(p, w)| (p, w.to_bits())).collect()
+    };
+    prop_assert_eq!(&grid.centers, &single.centers, "centers at t={}", t);
+    prop_assert_eq!(
+        grid.cost.to_bits(),
+        single.cost.to_bits(),
+        "cost at t={}",
+        t
+    );
+    prop_assert_eq!(bits(grid), bits(single), "outliers at t={}", t);
+    prop_assert_eq!(
+        &grid.assignment,
+        &single.assignment,
+        "assignment at t={}",
+        t
+    );
+}
+
+fn check_grid_matches_singles<M: Metric>(
+    m: &M,
+    w: &WeightedSet,
+    k: usize,
+    budgets: &[f64],
+    params: BicriteriaParams,
+) {
+    let grid = median_bicriteria_grid(m, w, k, budgets, Objective::Median, params);
+    prop_assert_eq!(grid.len(), budgets.len());
+    for (sol, &t) in grid.iter().zip(budgets) {
+        let single = median_bicriteria(m, w, k, t, Objective::Median, params);
+        assert_bit_identical(sol, &single, t);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The grid solver's answer for each budget is exactly the lone
+    /// per-budget solve, whatever the budget list looks like: zero,
+    /// duplicates, unsorted, at or beyond the instance size.
+    #[test]
+    fn grid_solve_is_bit_identical_to_per_budget_solves(
+        (ps, w) in arb_weighted(20),
+        raw in proptest::collection::vec(0.0f64..24.0, 1..5),
+        k in 1usize..4,
+        eps_idx in 0usize..3,
+        squared in any::<bool>(),
+        rotate in 0usize..16,
+    ) {
+        let n = ps.len() as f64;
+        // Zero, a duplicate, one fractional and two budgets >= n, rotated
+        // so neither end of the list is special.
+        let mut budgets = raw.clone();
+        budgets.extend([0.0, raw[0], raw[0].floor(), n, n + 3.0]);
+        let len = budgets.len();
+        budgets.rotate_left(rotate % len);
+        let params = BicriteriaParams {
+            eps: [0.0, 0.5, 1.0][eps_idx],
+            ..BicriteriaParams::default()
+        };
+        let m = EuclideanMetric::new(&ps);
+        if squared {
+            check_grid_matches_singles(&SquaredMetric::new(m), &w, k, &budgets, params);
+        } else {
+            check_grid_matches_singles(&m, &w, k, &budgets, params);
+        }
+    }
+}
+
+#[test]
+fn grid_solve_on_empty_points_is_one_empty_solution_per_budget() {
+    let ps = PointSet::new(2);
+    let m = EuclideanMetric::new(&ps);
+    let w = WeightedSet::new();
+    let params = BicriteriaParams::default();
+    let budgets = [3.0, 0.0, 3.0];
+    let grid = median_bicriteria_grid(&m, &w, 2, &budgets, Objective::Median, params);
+    assert_eq!(grid.len(), budgets.len());
+    for sol in &grid {
+        assert!(sol.centers.is_empty() && sol.outliers.is_empty() && sol.assignment.is_empty());
+        assert_eq!(sol.cost, 0.0);
+    }
+    assert!(median_bicriteria_grid(&m, &w, 2, &[], Objective::Median, params).is_empty());
+}
+
 fn local_search_cost<M: Metric>(m: &M, w: &WeightedSet, centers: &[usize]) -> f64 {
     w.iter()
         .map(|(id, wt)| {

@@ -27,8 +27,8 @@ use crate::merge::merge_solutions_with;
 use crate::wire::{DistributedSolution, PreclusterMsg, ThresholdMsg};
 use bytes::Bytes;
 use dpc_cluster::{
-    median_bicriteria, median_bicriteria_relaxed_centers, BicriteriaParams, LocalSearchParams,
-    Solution,
+    median_bicriteria, median_bicriteria_grid, median_bicriteria_relaxed_centers, BicriteriaParams,
+    LocalSearchParams, Solution,
 };
 use dpc_codec::Encoding;
 use dpc_coordinator::{
@@ -163,25 +163,6 @@ impl MedianConfig {
     }
 }
 
-/// Solves the local bicriteria problem on a shard (dispatching the metric
-/// by objective).
-fn local_solve(
-    data: &PointSet,
-    means: bool,
-    k: usize,
-    budget: f64,
-    params: BicriteriaParams,
-) -> Solution {
-    let w = WeightedSet::unit(data.len());
-    if means {
-        let m = SquaredMetric::new(EuclideanMetric::new(data));
-        median_bicriteria(&m, &w, k, budget, Objective::Median, params)
-    } else {
-        let m = EuclideanMetric::new(data);
-        median_bicriteria(&m, &w, k, budget, Objective::Median, params)
-    }
-}
-
 /// Re-evaluates `centers` on a shard at an exact integral budget, returning
 /// the full assignment record.
 fn local_evaluate(
@@ -260,11 +241,32 @@ impl<'a> MedianSite<'a> {
     fn build_profile(&mut self) -> Bytes {
         self.grid = geometric_grid(self.cfg.t, self.cfg.rho.max(1.0 + 1e-9));
         let n = self.data.len();
-        let mut pts = Vec::with_capacity(self.grid.len());
         let mut ls = self.cfg.ls;
         ls.seed = ls.seed.wrapping_add(self.site_id as u64);
+        let params = BicriteriaParams {
+            ls,
+            ..self.cfg.site_solver_params()
+        };
+        // One grid solve over every non-degenerate grid point (q < n).
+        let budgets: Vec<f64> = self
+            .grid
+            .iter()
+            .filter(|&&q| q < n)
+            .map(|&q| q as f64)
+            .collect();
+        let w = WeightedSet::unit(n);
+        let k = 2 * self.cfg.k;
+        let mut solved = if self.cfg.means {
+            let m = SquaredMetric::new(EuclideanMetric::new(self.data));
+            median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, params)
+        } else {
+            let m = EuclideanMetric::new(self.data);
+            median_bicriteria_grid(&m, &w, k, &budgets, Objective::Median, params)
+        }
+        .into_iter();
+        let mut pts = Vec::with_capacity(self.grid.len());
         for &q in &self.grid {
-            let sol = if n == 0 || q >= n {
+            let sol = if q >= n {
                 // Degenerate grid point: the whole shard can be ignored.
                 Solution {
                     centers: if n == 0 { Vec::new() } else { vec![0] },
@@ -273,9 +275,7 @@ impl<'a> MedianSite<'a> {
                     assignment: vec![0; n],
                 }
             } else {
-                let mut params = self.cfg.site_solver_params();
-                params.ls = ls;
-                local_solve(self.data, self.cfg.means, 2 * self.cfg.k, q as f64, params)
+                solved.next().expect("one grid solution per q < n")
             };
             pts.push((q, sol.cost));
             self.sols.push(sol);

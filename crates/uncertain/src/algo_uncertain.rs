@@ -16,8 +16,8 @@ use crate::compressed::CompressedGraph;
 use crate::node::NodeSet;
 use bytes::Bytes;
 use dpc_cluster::{
-    charikar_center, gonzalez_with, median_bicriteria, BicriteriaParams, CenterParams,
-    LocalSearchParams, Solution,
+    charikar_center, gonzalez_with, median_bicriteria, median_bicriteria_grid, BicriteriaParams,
+    CenterParams, LocalSearchParams, Solution,
 };
 use dpc_coordinator::{
     run_protocol, Coordinator, CoordinatorStep, ProtocolOutput, RunOptions, Site,
@@ -225,6 +225,27 @@ impl<'a> UncertainSite<'a> {
                 let mut ls = self.cfg.ls;
                 ls.seed = ls.seed.wrapping_add(self.site_id as u64);
                 ls.threads = self.cfg.threads;
+                let params = BicriteriaParams {
+                    eps: 0.0,
+                    lambda_iters: self.cfg.lambda_iters,
+                    ls,
+                };
+                // One grid solve over every non-degenerate grid point.
+                let budgets: Vec<f64> = self
+                    .grid
+                    .iter()
+                    .filter(|&&q| q < n)
+                    .map(|&q| q as f64)
+                    .collect();
+                let mut solved = median_bicriteria_grid(
+                    &graph,
+                    &demands,
+                    2 * self.cfg.k,
+                    &budgets,
+                    Objective::Median,
+                    params,
+                )
+                .into_iter();
                 for &q in &self.grid {
                     let sol = if q >= n {
                         Solution {
@@ -234,19 +255,7 @@ impl<'a> UncertainSite<'a> {
                             assignment: vec![0; demands.len()],
                         }
                     } else {
-                        let params = BicriteriaParams {
-                            eps: 0.0,
-                            lambda_iters: self.cfg.lambda_iters,
-                            ls,
-                        };
-                        median_bicriteria(
-                            &graph,
-                            &demands,
-                            2 * self.cfg.k,
-                            q as f64,
-                            Objective::Median,
-                            params,
-                        )
+                        solved.next().expect("one grid solution per q < n")
                     };
                     pts.push((q, sol.cost));
                     self.sols.push(sol);
