@@ -13,11 +13,32 @@
 //! \[4\]) optimize. `λ = ∞` recovers the plain k-median. For the means
 //! objective, run this over a [`dpc_metric::SquaredMetric`].
 //!
-//! The search is the classic single-swap heuristic with the `O(n + k)`
-//! per-candidate delta evaluation (maintaining nearest and second-nearest
-//! center distances), plus weighted D-sampling seeding. Single-swap local
-//! search is a constant-factor approximation for k-median (Arya et al.),
-//! which is all the downstream lemmas require of the preclustering oracle.
+//! The search is the classic single-swap heuristic (maintaining nearest
+//! and second-nearest center distances per entry), plus weighted
+//! D-sampling seeding. Single-swap local search is a constant-factor
+//! approximation for k-median (Arya et al.), which is all the downstream
+//! lemmas require of the preclustering oracle.
+//!
+//! # Block swap scoring
+//!
+//! Each iteration samples `swap_candidates` insertion points and needs,
+//! for every candidate `x` and removed slot `ci`, the exact objective
+//! change `a(x) + b(x)[ci]`: two sums over the entries (see
+//! `score_block`). Rather than one distance row and one accumulation
+//! pass per candidate, candidates are scored in blocks of `BLOCK = 8`:
+//! their eight distance rows are computed first, then a single pass over
+//! the entries loads each entry's weight, nearest slot and λ-clamped
+//! top-2 distances once and updates all eight candidates' sums. The
+//! best swap is then picked in draw order; a strict `<` keeps the first
+//! of equal deltas.
+//!
+//! This is bit-identical to scoring candidates one at a time: every sum
+//! adds the same terms in the same entry order (the block only
+//! interleaves independent sums), and clamping to `λ` once per iteration
+//! changes no value because `min` is exact. Current centers and
+//! candidates drawn a second time in one iteration are not scored; a
+//! repeat's deltas equal its first occurrence's and never win a strict
+//! `<`.
 
 use crate::solution::Solution;
 use dpc_metric::{Assignment2C, Metric, NearestAssigner, ThreadBudget, WeightedSet};
@@ -30,6 +51,8 @@ pub struct LocalSearchParams {
     /// Maximum improving swaps applied.
     pub max_iters: usize,
     /// Candidate insertion points sampled per iteration (capped to `n`).
+    /// Every draw is taken from the RNG, but current centers and repeat
+    /// draws within one iteration are not scored.
     pub swap_candidates: usize,
     /// Relative improvement threshold for accepting a swap.
     pub min_rel_gain: f64,
@@ -129,6 +152,50 @@ fn seed_centers<M: Metric>(
     centers
 }
 
+/// Swap candidates scored per pass over the entries.
+const BLOCK: usize = 8;
+
+/// Swap deltas of one block of candidates: `delta(j, ci) = a[j] +
+/// b[ci][j]` for the candidate whose distances are row `j` of the
+/// candidate-major `rows`, where
+///
+/// ```text
+///   a[j]     = Σ_e        w_e (min(dx, d1, λ) − min(d1, λ))
+///   b[ci][j] = Σ_{c1 = ci} w_e (min(d2, dx, λ) − min(dx, d1, λ))
+/// ```
+///
+/// with `b[ci][j]` stored at `b[ci·BLOCK + j]` and `d1_cap` / `d2_cap`
+/// the top-2 distances already clamped to `λ`. One pass over the entries
+/// serves all `BLOCK` candidates (the module docs say why the sums stay
+/// bit-identical).
+fn score_block(
+    rows: &[f64],
+    weights: &[f64],
+    c1: &[usize],
+    d1_cap: &[f64],
+    d2_cap: &[f64],
+    b: &mut [f64],
+) -> [f64; BLOCK] {
+    let n = weights.len();
+    let rows: [&[f64]; BLOCK] = std::array::from_fn(|j| &rows[j * n..(j + 1) * n]);
+    let mut a = [0.0f64; BLOCK];
+    for e in 0..n {
+        let w = weights[e];
+        if w == 0.0 {
+            continue;
+        }
+        let (old, d2) = (d1_cap[e], d2_cap[e]);
+        let bc = &mut b[c1[e] * BLOCK..(c1[e] + 1) * BLOCK];
+        for j in 0..BLOCK {
+            let dx = rows[j][e];
+            let with_x = dx.min(old);
+            a[j] += w * (with_x - old);
+            bc[j] += w * (dx.min(d2) - with_x);
+        }
+    }
+    a
+}
+
 /// Runs the penalized single-swap local search.
 ///
 /// Returns the chosen centers together with the *penalized* objective in
@@ -159,43 +226,52 @@ pub fn penalty_local_search<M: Metric>(
     let mut state: NearestState = assigner.assign2c(ids, &centers);
     let mut cost = penalized_cost(&state, weights, penalty);
     let mut dx_all = Vec::with_capacity(n);
+    // Per-iteration scratch, reused across iterations: the clamped top-2
+    // distances, the scored candidates, one block of candidate rows and
+    // its per-slot sums.
+    let mut d1_cap = vec![0.0f64; n];
+    let mut d2_cap = vec![0.0f64; n];
+    let mut picked: Vec<usize> = Vec::with_capacity(params.swap_candidates.min(n));
+    let mut rows = vec![0.0f64; BLOCK * n];
+    let mut b: Vec<f64> = Vec::new();
     let mut stale: Vec<usize> = Vec::new();
+    let mut stale_ids: Vec<usize> = Vec::new();
 
     for _ in 0..params.max_iters {
         let kk = centers.len();
-        // Sample candidate insertions.
-        let cand_count = params.swap_candidates.min(n);
-        let mut best: Option<(usize, usize, f64)> = None; // (cand entry, removed pos, delta)
-        for _ in 0..cand_count {
+        // Sample candidate insertions. Current centers and repeat draws
+        // are drawn but not scored (see the module docs).
+        picked.clear();
+        for _ in 0..params.swap_candidates.min(n) {
             let cand = rng.gen_range(0..n);
             let x = ids[cand];
-            if centers.contains(&x) {
-                continue;
+            if !centers.contains(&x) && !picked.iter().any(|&p| ids[p] == x) {
+                picked.push(cand);
             }
-            // Delta decomposition: delta(x, ci) = a + b[ci], where
-            //   a      = Σ_e w_e (min(dx, d1, λ) − min(d1, λ))
-            //   b[ci]  = Σ_{e: c1=ci} w_e (min(d2, dx, λ) − min(dx, d1, λ))
-            // The candidate's distances to every entry come from one bulk
-            // pass; the accumulation stays sequential in entry order.
-            assigner.dists_from(x, ids, &mut dx_all);
-            let mut a = 0.0f64;
-            let mut b = vec![0.0f64; kk];
-            for e in 0..n {
-                let w = weights[e];
-                if w == 0.0 {
-                    continue;
-                }
-                let dx = dx_all[e];
-                let old = state.d1[e].min(penalty);
-                let with_x = dx.min(state.d1[e]).min(penalty);
-                a += w * (with_x - old);
-                let without_c1 = state.d2[e].min(dx).min(penalty);
-                b[state.c1[e]] += w * (without_c1 - with_x);
+        }
+        for e in 0..n {
+            d1_cap[e] = state.d1[e].min(penalty);
+            d2_cap[e] = state.d2[e].min(penalty);
+        }
+        let mut best: Option<(usize, usize, f64)> = None; // (cand entry, removed pos, delta)
+        for block in picked.chunks(BLOCK) {
+            // Candidate-major rows: row `j` holds the distances from the
+            // block's `j`-th candidate to every entry. Lanes past the end
+            // of a short last block keep stale rows; their sums are
+            // computed and ignored.
+            for (j, &cand) in block.iter().enumerate() {
+                assigner.dists_from(ids[cand], ids, &mut dx_all);
+                rows[j * n..(j + 1) * n].copy_from_slice(&dx_all);
             }
-            for (ci, &bc) in b.iter().enumerate() {
-                let delta = a + bc;
-                if best.is_none_or(|(_, _, bd)| delta < bd) {
-                    best = Some((cand, ci, delta));
+            b.clear();
+            b.resize(kk * BLOCK, 0.0);
+            let a = score_block(&rows, weights, &state.c1, &d1_cap, &d2_cap, &mut b);
+            for (j, &cand) in block.iter().enumerate() {
+                for ci in 0..kk {
+                    let delta = a[j] + b[ci * BLOCK + j];
+                    if best.is_none_or(|(_, _, bd)| delta < bd) {
+                        best = Some((cand, ci, delta));
+                    }
                 }
             }
         }
@@ -230,7 +306,8 @@ pub fn penalty_local_search<M: Metric>(
                     }
                 }
                 if !stale.is_empty() {
-                    let stale_ids: Vec<usize> = stale.iter().map(|&e| ids[e]).collect();
+                    stale_ids.clear();
+                    stale_ids.extend(stale.iter().map(|&e| ids[e]));
                     let sub = assigner.assign2c(&stale_ids, &centers);
                     for (s, &e) in stale.iter().enumerate() {
                         state.c1[e] = sub.c1[s];
@@ -304,8 +381,8 @@ pub fn kmedian_local_search<M: Metric>(
     sol
 }
 
-/// Evaluates the penalized objective for arbitrary centers (test helper and
-/// cross-check used by the λ-search).
+/// Evaluates the penalized objective for arbitrary centers by brute force
+/// (the unit tests cross-check the search's cost against it).
 pub fn penalized_objective<M: Metric>(
     metric: &M,
     points: &WeightedSet,

@@ -419,6 +419,23 @@ mod tests {
         );
     }
 
+    /// Block scoring skips candidates drawn twice in one iteration (48
+    /// draws from 200 entries repeat often), so one local search must
+    /// make strictly fewer distance calls than the per-candidate scorer
+    /// before it: 94,536 for this call in a debug build.
+    #[test]
+    fn local_search_does_no_more_distance_work_than_per_candidate_scoring() {
+        let ps = counting_instance();
+        let m = CountingMetric::new(&ps);
+        let w = WeightedSet::unit(ps.len());
+        penalty_local_search(&m, &w, 8, 20.0, LocalSearchParams::default());
+        let calls = m.take();
+        assert!(
+            calls < 94_536,
+            "one local search made {calls} distance calls"
+        );
+    }
+
     #[test]
     fn weighted_instance_fractional_budget() {
         // One heavy far point (w=4) and budget 2: can only be partially

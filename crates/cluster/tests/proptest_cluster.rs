@@ -199,3 +199,292 @@ fn local_search_cost<M: Metric>(m: &M, w: &WeightedSet, centers: &[usize]) -> f6
         })
         .sum()
 }
+
+/// The per-candidate swap scorer that block scoring replaced, frozen as
+/// an oracle: every sampled candidate gets its own distance row and its
+/// own accumulation pass. Debug-only cross-checks are left out; they do
+/// not touch the search state.
+mod per_candidate {
+    use dpc_cluster::Solution;
+    use dpc_metric::{Assignment2C, Metric, NearestAssigner, ThreadBudget, WeightedSet};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn penalized_cost(state: &Assignment2C, weights: &[f64], penalty: f64) -> f64 {
+        state
+            .d1
+            .iter()
+            .zip(weights)
+            .map(|(&d, &w)| w * d.min(penalty))
+            .sum()
+    }
+
+    fn seed_centers<M: Metric>(
+        metric: &M,
+        points: &WeightedSet,
+        k: usize,
+        penalty: f64,
+        rng: &mut SmallRng,
+        threads: ThreadBudget,
+    ) -> Vec<usize> {
+        let ids = points.ids();
+        let weights = points.weights();
+        let n = ids.len();
+        let k = k.min(n);
+        let mut centers = Vec::with_capacity(k);
+        let assigner = NearestAssigner::with_threads(metric, threads);
+        let first = (0..n)
+            .max_by(|&a, &b| weights[a].total_cmp(&weights[b]))
+            .expect("non-empty points");
+        centers.push(ids[first]);
+        let mut d1 = Vec::with_capacity(n);
+        assigner.dists_from(ids[first], ids, &mut d1);
+        let mut dists = Vec::with_capacity(n);
+        while centers.len() < k {
+            let scores: Vec<f64> = d1
+                .iter()
+                .zip(weights)
+                .map(|(&d, &w)| w * d.min(penalty))
+                .collect();
+            let total: f64 = scores.iter().sum();
+            let chosen = if total <= 0.0 {
+                (0..n).find(|&e| d1[e] > 0.0).unwrap_or(centers.len() % n)
+            } else {
+                let mut target = rng.gen::<f64>() * total;
+                let mut pick = n - 1;
+                for (e, &s) in scores.iter().enumerate() {
+                    if target < s {
+                        pick = e;
+                        break;
+                    }
+                    target -= s;
+                }
+                pick
+            };
+            centers.push(ids[chosen]);
+            assigner.dists_from(ids[chosen], ids, &mut dists);
+            for (dd, &d) in d1.iter_mut().zip(&dists) {
+                if d < *dd {
+                    *dd = d;
+                }
+            }
+        }
+        centers
+    }
+
+    pub fn penalty_local_search<M: Metric>(
+        metric: &M,
+        points: &WeightedSet,
+        k: usize,
+        penalty: f64,
+        params: dpc_cluster::LocalSearchParams,
+    ) -> Solution {
+        let ids = points.ids();
+        let weights = points.weights();
+        let n = ids.len();
+        let mut rng = SmallRng::seed_from_u64(params.seed);
+        let assigner = NearestAssigner::with_threads(metric, params.threads);
+        let mut centers = seed_centers(metric, points, k, penalty, &mut rng, params.threads);
+        let mut state = assigner.assign2c(ids, &centers);
+        let mut cost = penalized_cost(&state, weights, penalty);
+        let mut dx_all = Vec::with_capacity(n);
+        let mut stale: Vec<usize> = Vec::new();
+        for _ in 0..params.max_iters {
+            let kk = centers.len();
+            let cand_count = params.swap_candidates.min(n);
+            let mut best: Option<(usize, usize, f64)> = None;
+            for _ in 0..cand_count {
+                let cand = rng.gen_range(0..n);
+                let x = ids[cand];
+                if centers.contains(&x) {
+                    continue;
+                }
+                assigner.dists_from(x, ids, &mut dx_all);
+                let mut a = 0.0f64;
+                let mut b = vec![0.0f64; kk];
+                for e in 0..n {
+                    let w = weights[e];
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let dx = dx_all[e];
+                    let old = state.d1[e].min(penalty);
+                    let with_x = dx.min(state.d1[e]).min(penalty);
+                    a += w * (with_x - old);
+                    let without_c1 = state.d2[e].min(dx).min(penalty);
+                    b[state.c1[e]] += w * (without_c1 - with_x);
+                }
+                for (ci, &bc) in b.iter().enumerate() {
+                    let delta = a + bc;
+                    if best.is_none_or(|(_, _, bd)| delta < bd) {
+                        best = Some((cand, ci, delta));
+                    }
+                }
+            }
+            match best {
+                Some((cand, ci, delta)) if delta < -params.min_rel_gain * cost.max(1e-30) => {
+                    centers[ci] = ids[cand];
+                    assigner.dists_from(ids[cand], ids, &mut dx_all);
+                    stale.clear();
+                    for (e, &dx) in dx_all.iter().enumerate().take(n) {
+                        if state.c1[e] == ci || state.c2[e] == ci {
+                            stale.push(e);
+                            continue;
+                        }
+                        if dx < state.d1[e] || (dx == state.d1[e] && ci < state.c1[e]) {
+                            state.d2[e] = state.d1[e];
+                            state.c2[e] = state.c1[e];
+                            state.d1[e] = dx;
+                            state.c1[e] = ci;
+                        } else if dx < state.d2[e] || (dx == state.d2[e] && ci < state.c2[e]) {
+                            state.d2[e] = dx;
+                            state.c2[e] = ci;
+                        }
+                    }
+                    if !stale.is_empty() {
+                        let stale_ids: Vec<usize> = stale.iter().map(|&e| ids[e]).collect();
+                        let sub = assigner.assign2c(&stale_ids, &centers);
+                        for (s, &e) in stale.iter().enumerate() {
+                            state.c1[e] = sub.c1[s];
+                            state.c2[e] = sub.c2[s];
+                            state.d1[e] = sub.d1[s];
+                            state.d2[e] = sub.d2[s];
+                        }
+                    }
+                    cost = penalized_cost(&state, weights, penalty);
+                }
+                _ => break,
+            }
+        }
+        let outliers: Vec<(usize, f64)> = state
+            .d1
+            .iter()
+            .enumerate()
+            .filter(|&(e, &d)| d > penalty && weights[e] > 0.0)
+            .map(|(e, _)| (e, weights[e]))
+            .collect();
+        Solution {
+            centers,
+            cost,
+            outliers,
+            assignment: state.c1,
+        }
+    }
+}
+
+/// Weighted 2-d instances with `1..max_n` entries built for ties: on a
+/// coarse integer grid most points have duplicates, and a third of the
+/// weights are zero.
+fn arb_tied(max_n: usize) -> impl Strategy<Value = (PointSet, WeightedSet)> {
+    (
+        proptest::collection::vec(
+            (proptest::collection::vec(0.0f64..6.0, 2..=2), 0usize..6),
+            1..max_n,
+        ),
+        any::<bool>(),
+    )
+        .prop_map(|(entries, coarse)| {
+            let (rows, weights): (Vec<Vec<f64>>, Vec<f64>) = entries
+                .into_iter()
+                .map(|(row, wi)| {
+                    let row = if coarse {
+                        row.iter().map(|v| v.floor()).collect()
+                    } else {
+                        row
+                    };
+                    (row, [0.0, 0.0, 1.0, 0.5, 2.0, 7.25][wi])
+                })
+                .unzip();
+            let w = WeightedSet::from_parts((0..rows.len()).collect(), weights);
+            (PointSet::from_rows(&rows), w)
+        })
+}
+
+/// Block scoring against the frozen per-candidate scorer, over a
+/// Euclidean, a squared and a tie-heavy L1 matrix metric.
+fn check_block_matches_per_candidate(
+    ps: &PointSet,
+    w: &WeightedSet,
+    k: usize,
+    penalty: f64,
+    params: LocalSearchParams,
+) {
+    let m = EuclideanMetric::new(ps);
+    let l1 = MatrixMetric::from_fn(ps.len(), |i, j| {
+        ps.point(i)
+            .iter()
+            .zip(ps.point(j))
+            .map(|(a, b)| (a - b).abs())
+            .sum()
+    });
+    let solutions = [
+        penalty_local_search(&m, w, k, penalty, params),
+        penalty_local_search(&SquaredMetric::new(m), w, k, penalty, params),
+        penalty_local_search(&l1, w, k, penalty, params),
+    ];
+    let oracles = [
+        per_candidate::penalty_local_search(&m, w, k, penalty, params),
+        per_candidate::penalty_local_search(&SquaredMetric::new(m), w, k, penalty, params),
+        per_candidate::penalty_local_search(&l1, w, k, penalty, params),
+    ];
+    for (sol, oracle) in solutions.iter().zip(&oracles) {
+        assert_bit_identical(sol, oracle, penalty);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Scoring candidates in blocks picks the same swaps as scoring them
+    /// one by one: same centers, cost bits, outliers and assignment, for
+    /// blocks shorter than, equal to and not dividing `n`, candidate
+    /// counts that force repeat draws, `k >= n`, and any thread budget.
+    #[test]
+    fn block_swap_scoring_is_bit_identical_to_per_candidate_scoring(
+        (ps, w) in arb_tied(30),
+        k_raw in 0usize..40,
+        lambda_idx in 0usize..4,
+        cand_idx in 0usize..4,
+        seed in 0u64..1_000,
+        threads in 1usize..=3,
+    ) {
+        let n = ps.len();
+        let params = LocalSearchParams {
+            swap_candidates: [1, 7, 48, n + 5][cand_idx],
+            seed,
+            threads: ThreadBudget::new(threads),
+            ..LocalSearchParams::default()
+        };
+        let k = 1 + k_raw % (n + 2);
+        let penalty = [f64::INFINITY, 0.75, 3.0, 40.0][lambda_idx];
+        check_block_matches_per_candidate(&ps, &w, k, penalty, params);
+    }
+}
+
+/// The same equivalence at a size where a 3-thread budget really splits
+/// the distance rows (chunks are at least 256 entries).
+#[test]
+fn block_swap_scoring_matches_per_candidate_scoring_under_threads() {
+    let rows: Vec<Vec<f64>> = (0..700)
+        .map(|i| {
+            let c = (i % 5) as f64 * 40.0;
+            vec![
+                c + ((i * 37) % 11) as f64 * 0.5,
+                ((i * 53) % 13) as f64 * 0.5,
+            ]
+        })
+        .collect();
+    let ps = PointSet::from_rows(&rows);
+    let w = WeightedSet::from_parts(
+        (0..rows.len()).collect(),
+        (0..rows.len()).map(|i| (i % 4) as f64).collect(),
+    );
+    for (k, penalty) in [(5, f64::INFINITY), (10, 6.0)] {
+        let params = LocalSearchParams {
+            threads: ThreadBudget::new(3),
+            max_iters: 8,
+            ..LocalSearchParams::default()
+        };
+        check_block_matches_per_candidate(&ps, &w, k, penalty, params);
+    }
+}
