@@ -26,11 +26,11 @@
 //! change `a(x) + b(x)[ci]`: two sums over the entries (see
 //! `score_block`). Rather than one distance row and one accumulation
 //! pass per candidate, candidates are scored in blocks of `BLOCK = 8`:
-//! their eight distance rows are computed first, then a single pass over
-//! the entries loads each entry's weight, nearest slot and λ-clamped
-//! top-2 distances once and updates all eight candidates' sums. The
-//! best swap is then picked in draw order; a strict `<` keeps the first
-//! of equal deltas.
+//! their eight distance rows are fetched first (see "Row cache"), then a
+//! single pass over the entries loads each entry's weight, nearest slot
+//! and λ-clamped top-2 distances once and updates all eight candidates'
+//! sums. The best swap is then picked in draw order; a strict `<` keeps
+//! the first of equal deltas.
 //!
 //! This is bit-identical to scoring candidates one at a time: every sum
 //! adds the same terms in the same entry order (the block only
@@ -39,6 +39,26 @@
 //! candidates drawn a second time in one iteration are not scored; a
 //! repeat's deltas equal its first occurrence's and never win a strict
 //! `<`.
+//!
+//! # Row cache
+//!
+//! Every distance row the search reads — in seeding, block scoring and
+//! the accepted-swap update — is row `e` of one instance: the distances
+//! from entry `e` to every entry, `dists_from(ids[e], ids)`. A
+//! `RowCache` keeps each row the first time it is computed, one
+//! allocation per row, up to `ROW_CACHE_BYTES` (4 MiB: every row of an
+//! instance up to n ≈ 724 entries). Past the cap, rows not cached are
+//! recomputed into a reused `BLOCK·n` buffer on every use. Cached rows
+//! are read in place. [`penalty_local_search`] builds a cache per call;
+//! the grid solve of [`crate::median_outliers`] shares one across the
+//! `λ = ∞` search and every λ step of an instance, which is where rows
+//! repeat most. A site therefore holds at most 4 MiB of rows while it
+//! solves, freed when its grid solve returns.
+//!
+//! Results are bit-identical with or without the cache: a cached row is
+//! the output of the very call it replaces (same metric, anchor and
+//! `ids`), and the bulk-hook contract makes that output the same at any
+//! thread budget.
 
 use crate::solution::Solution;
 use dpc_metric::{Assignment2C, Metric, NearestAssigner, ThreadBudget, WeightedSet};
@@ -96,19 +116,19 @@ fn penalized_cost(state: &NearestState, weights: &[f64], penalty: f64) -> f64 {
 /// the first center is the weighted medoid-ish heaviest point, subsequent
 /// centers are sampled proportionally to `w · min(d, λ)`.
 fn seed_centers<M: Metric>(
-    metric: &M,
+    assigner: &NearestAssigner<'_, M>,
     points: &WeightedSet,
     k: usize,
     penalty: f64,
     rng: &mut SmallRng,
-    threads: ThreadBudget,
+    cache: &mut RowCache,
+    scratch: &mut Vec<f64>,
 ) -> Vec<usize> {
     let ids = points.ids();
     let weights = points.weights();
     let n = ids.len();
     let k = k.min(n);
     let mut centers = Vec::with_capacity(k);
-    let assigner = NearestAssigner::with_threads(metric, threads);
 
     // First center: the entry with maximum weight (deterministic anchor).
     let first = (0..n)
@@ -116,9 +136,7 @@ fn seed_centers<M: Metric>(
         .expect("non-empty points");
     centers.push(ids[first]);
 
-    let mut d1 = Vec::with_capacity(n);
-    assigner.dists_from(ids[first], ids, &mut d1);
-    let mut dists = Vec::with_capacity(n);
+    let mut d1 = cache.row(first, assigner, ids, scratch).to_vec();
     while centers.len() < k {
         let scores: Vec<f64> = d1
             .iter()
@@ -142,8 +160,8 @@ fn seed_centers<M: Metric>(
             pick
         };
         centers.push(ids[chosen]);
-        assigner.dists_from(ids[chosen], ids, &mut dists);
-        for (dd, &d) in d1.iter_mut().zip(&dists) {
+        let dists = cache.row(chosen, assigner, ids, scratch);
+        for (dd, &d) in d1.iter_mut().zip(dists) {
             if d < *dd {
                 *dd = d;
             }
@@ -152,12 +170,80 @@ fn seed_centers<M: Metric>(
     centers
 }
 
+/// Byte cap on the rows one [`RowCache`] holds (4 MiB: every row up to
+/// n ≈ 724 entries).
+const ROW_CACHE_BYTES: usize = 4 << 20;
+
+/// Distance rows of one instance, shared by every local search over it:
+/// row `e` is exactly `dists_from(ids[e], ids)`, computed on first use
+/// and kept while the byte cap allows. Each row is its own allocation
+/// rather than one slice of an n² block: successive sites' instances
+/// differ slightly in size, so a freed block rarely fits the next one
+/// and the heap fragments, while row-sized chunks recycle.
+pub(crate) struct RowCache {
+    rows: Vec<Option<Box<[f64]>>>,
+    /// Rows that may still be cached.
+    room: usize,
+}
+
+impl RowCache {
+    /// An empty cache for an instance of `n` entries.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            rows: vec![None; n],
+            room: ROW_CACHE_BYTES / (n * std::mem::size_of::<f64>()).max(1),
+        }
+    }
+
+    /// An empty cache for `n` entries holding at most `room` rows.
+    #[cfg(test)]
+    fn with_room(n: usize, room: usize) -> Self {
+        Self {
+            room,
+            ..Self::new(n)
+        }
+    }
+
+    /// Caches row `e` if it is not cached and there is room; returns
+    /// whether it is cached.
+    fn fill<M: Metric>(
+        &mut self,
+        e: usize,
+        assigner: &NearestAssigner<'_, M>,
+        ids: &[usize],
+    ) -> bool {
+        if self.rows[e].is_none() && self.room > 0 {
+            let mut row = Vec::with_capacity(ids.len());
+            assigner.dists_from(ids[e], ids, &mut row);
+            self.rows[e] = Some(row.into_boxed_slice());
+            self.room -= 1;
+        }
+        self.rows[e].is_some()
+    }
+
+    /// Row `e`: from the cache (filling it if there is room), else
+    /// computed into `scratch`.
+    fn row<'a, M: Metric>(
+        &'a mut self,
+        e: usize,
+        assigner: &NearestAssigner<'_, M>,
+        ids: &[usize],
+        scratch: &'a mut Vec<f64>,
+    ) -> &'a [f64] {
+        if self.fill(e, assigner, ids) {
+            return self.rows[e].as_deref().expect("filled");
+        }
+        assigner.dists_from(ids[e], ids, scratch);
+        scratch
+    }
+}
+
 /// Swap candidates scored per pass over the entries.
 const BLOCK: usize = 8;
 
 /// Swap deltas of one block of candidates: `delta(j, ci) = a[j] +
-/// b[ci][j]` for the candidate whose distances are row `j` of the
-/// candidate-major `rows`, where
+/// b[ci][j]` for the candidate whose distances to the entries are
+/// `rows[j]`, where
 ///
 /// ```text
 ///   a[j]     = Σ_e        w_e (min(dx, d1, λ) − min(d1, λ))
@@ -169,17 +255,15 @@ const BLOCK: usize = 8;
 /// serves all `BLOCK` candidates (the module docs say why the sums stay
 /// bit-identical).
 fn score_block(
-    rows: &[f64],
+    rows: [&[f64]; BLOCK],
     weights: &[f64],
     c1: &[usize],
     d1_cap: &[f64],
     d2_cap: &[f64],
     b: &mut [f64],
 ) -> [f64; BLOCK] {
-    let n = weights.len();
-    let rows: [&[f64]; BLOCK] = std::array::from_fn(|j| &rows[j * n..(j + 1) * n]);
     let mut a = [0.0f64; BLOCK];
-    for e in 0..n {
+    for e in 0..weights.len() {
         let w = weights[e];
         if w == 0.0 {
             continue;
@@ -214,25 +298,40 @@ pub fn penalty_local_search<M: Metric>(
     penalty: f64,
     params: LocalSearchParams,
 ) -> Solution {
+    let mut cache = RowCache::new(points.len());
+    penalty_local_search_cached(metric, points, k, penalty, params, &mut cache)
+}
+
+/// [`penalty_local_search`] reading its distance rows through `cache`,
+/// which must belong to the same `points` (see the module docs).
+pub(crate) fn penalty_local_search_cached<M: Metric>(
+    metric: &M,
+    points: &WeightedSet,
+    k: usize,
+    penalty: f64,
+    params: LocalSearchParams,
+    cache: &mut RowCache,
+) -> Solution {
     assert!(!points.is_empty(), "local search requires points");
     assert!(k > 0, "need at least one center");
     let ids = points.ids();
     let weights = points.weights();
     let n = ids.len();
+    debug_assert_eq!(cache.rows.len(), n, "row cache of another instance");
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let assigner = NearestAssigner::with_threads(metric, params.threads);
 
-    let mut centers = seed_centers(metric, points, k, penalty, &mut rng, params.threads);
+    let mut dx_all = Vec::with_capacity(n);
+    let mut centers = seed_centers(&assigner, points, k, penalty, &mut rng, cache, &mut dx_all);
     let mut state: NearestState = assigner.assign2c(ids, &centers);
     let mut cost = penalized_cost(&state, weights, penalty);
-    let mut dx_all = Vec::with_capacity(n);
     // Per-iteration scratch, reused across iterations: the clamped top-2
-    // distances, the scored candidates, one block of candidate rows and
-    // its per-slot sums.
+    // distances, the scored candidates, candidate-major rows for the
+    // candidates the cache cannot hold and the block's per-slot sums.
     let mut d1_cap = vec![0.0f64; n];
     let mut d2_cap = vec![0.0f64; n];
     let mut picked: Vec<usize> = Vec::with_capacity(params.swap_candidates.min(n));
-    let mut rows = vec![0.0f64; BLOCK * n];
+    let mut uncached = vec![0.0f64; BLOCK * n];
     let mut b: Vec<f64> = Vec::new();
     let mut stale: Vec<usize> = Vec::new();
     let mut stale_ids: Vec<usize> = Vec::new();
@@ -255,17 +354,25 @@ pub fn penalty_local_search<M: Metric>(
         }
         let mut best: Option<(usize, usize, f64)> = None; // (cand entry, removed pos, delta)
         for block in picked.chunks(BLOCK) {
-            // Candidate-major rows: row `j` holds the distances from the
-            // block's `j`-th candidate to every entry. Lanes past the end
-            // of a short last block keep stale rows; their sums are
-            // computed and ignored.
+            // Lane `j` reads the `j`-th candidate's row in place from the
+            // cache, or from lane `j` of `uncached` past the byte cap.
+            // Lanes past the end of a short last block repeat lane 0;
+            // their sums are computed and ignored.
             for (j, &cand) in block.iter().enumerate() {
-                assigner.dists_from(ids[cand], ids, &mut dx_all);
-                rows[j * n..(j + 1) * n].copy_from_slice(&dx_all);
+                if !cache.fill(cand, &assigner, ids) {
+                    assigner.dists_from(ids[cand], ids, &mut dx_all);
+                    uncached[j * n..(j + 1) * n].copy_from_slice(&dx_all);
+                }
             }
+            let rows: [&[f64]; BLOCK] = std::array::from_fn(|j| {
+                let (j, cand) = block.get(j).map_or((0, block[0]), |&c| (j, c));
+                cache.rows[cand]
+                    .as_deref()
+                    .unwrap_or_else(|| &uncached[j * n..(j + 1) * n])
+            });
             b.clear();
             b.resize(kk * BLOCK, 0.0);
-            let a = score_block(&rows, weights, &state.c1, &d1_cap, &d2_cap, &mut b);
+            let a = score_block(rows, weights, &state.c1, &d1_cap, &d2_cap, &mut b);
             for (j, &cand) in block.iter().enumerate() {
                 for ci in 0..kk {
                     let delta = a[j] + b[ci * BLOCK + j];
@@ -281,14 +388,15 @@ pub fn penalty_local_search<M: Metric>(
                 // Incremental state update. Only the center at slot `ci`
                 // changed, so for entries whose top-2 did not involve it
                 // the new top-2 is the lex merge of the old pair with the
-                // one new `(dx, ci)` candidate — a single bulk distance
-                // pass. Entries whose nearest or second-nearest *was* the
-                // replaced slot lose that anchor and rescan against the
-                // full center list, but they are the minority (one
-                // cluster's worth per swap).
-                assigner.dists_from(ids[cand], ids, &mut dx_all);
+                // one new `(dx, ci)` candidate — one pass over the
+                // candidate's row, cached when it was scored. Entries
+                // whose nearest or second-nearest *was* the replaced slot
+                // lose that anchor and rescan against the full center
+                // list, but they are the minority (one cluster's worth
+                // per swap).
+                let dx_row = cache.row(cand, &assigner, ids, &mut dx_all);
                 stale.clear();
-                for (e, &dx) in dx_all.iter().enumerate().take(n) {
+                for (e, &dx) in dx_row.iter().enumerate() {
                     if state.c1[e] == ci || state.c2[e] == ci {
                         stale.push(e);
                         continue;
@@ -505,5 +613,58 @@ mod tests {
         let a = kmedian_local_search(&m, &w, 3, p);
         let b = kmedian_local_search(&m, &w, 3, p);
         assert_eq!(a.centers, b.centers);
+    }
+
+    /// A cache shared across a grid-style sequence of searches (λ = ∞,
+    /// then λ steps with per-step seeds) changes no answer, whether it
+    /// holds no row, one, a few or all of them.
+    #[test]
+    fn shared_row_cache_matches_fresh_uncached_searches() {
+        let mut rows: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![(i % 3) as f64 * 40.0 + 0.1 * i as f64, (i % 7) as f64])
+            .collect();
+        rows.extend([vec![900.0, 0.0], vec![-700.0, 300.0]]);
+        let ps = PointSet::from_rows(&rows);
+        let m = EuclideanMetric::new(&ps);
+        let n = ps.len();
+        let w = WeightedSet::from_parts((0..n).collect(), (0..n).map(|i| (i % 4) as f64).collect());
+        let base = LocalSearchParams {
+            swap_candidates: 12,
+            ..Default::default()
+        };
+        // (λ, seed offset) in the order the grid solve issues them,
+        // including a repeated step.
+        let calls = [
+            (f64::INFINITY, 0),
+            (30.0, 1),
+            (5.0, 2),
+            (12.0, 3),
+            (30.0, 1),
+            (0.5, 4),
+        ];
+        for room in [0, 1, 5, n] {
+            let mut shared = RowCache::with_room(n, room);
+            for &(lambda, step) in &calls {
+                let params = LocalSearchParams {
+                    seed: base.seed.wrapping_add(step),
+                    ..base
+                };
+                let got = penalty_local_search_cached(&m, &w, 3, lambda, params, &mut shared);
+                let fresh = penalty_local_search_cached(
+                    &m,
+                    &w,
+                    3,
+                    lambda,
+                    params,
+                    &mut RowCache::with_room(n, 0),
+                );
+                assert_eq!(got.centers, fresh.centers, "room {room}, λ {lambda}");
+                assert_eq!(got.cost.to_bits(), fresh.cost.to_bits());
+                assert_eq!(got.outliers, fresh.outliers);
+                assert_eq!(got.assignment, fresh.assignment);
+            }
+            let cached = shared.rows.iter().filter(|r| r.is_some()).count();
+            assert_eq!(cached, room.min(n), "room {room} must be used up");
+        }
     }
 }

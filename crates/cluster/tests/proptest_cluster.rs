@@ -203,12 +203,90 @@ fn local_search_cost<M: Metric>(m: &M, w: &WeightedSet, centers: &[usize]) -> f6
 /// The per-candidate swap scorer that block scoring replaced, frozen as
 /// an oracle: every sampled candidate gets its own distance row and its
 /// own accumulation pass. Debug-only cross-checks are left out; they do
-/// not touch the search state.
+/// not touch the search state. `median_bicriteria_grid` freezes the grid
+/// solve over it as it was before distance rows were cached: every local
+/// search computes its own rows.
 mod per_candidate {
-    use dpc_cluster::Solution;
-    use dpc_metric::{Assignment2C, Metric, NearestAssigner, ThreadBudget, WeightedSet};
+    use dpc_cluster::{BicriteriaParams, Solution};
+    use dpc_metric::{Assignment2C, Metric, NearestAssigner, Objective, ThreadBudget, WeightedSet};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    pub fn median_bicriteria_grid<M: Metric>(
+        metric: &M,
+        points: &WeightedSet,
+        k: usize,
+        budgets: &[f64],
+        params: BicriteriaParams,
+    ) -> Vec<Solution> {
+        let objective = Objective::Median;
+        let plain = penalty_local_search(metric, points, k, f64::INFINITY, params.ls).centers;
+        let bracket = if budgets.iter().any(|&t| t > 0.0) {
+            lambda_bracket(metric, points, &plain)
+        } else {
+            None
+        };
+        let mut memo: HashMap<(usize, u64), (Vec<usize>, f64)> = HashMap::new();
+        budgets
+            .iter()
+            .map(|&t| {
+                let budget = (1.0 + params.eps) * t;
+                let mut best = Solution::evaluate(metric, points, plain.clone(), budget, objective);
+                let Some((mut lo, mut hi)) = bracket.filter(|_| t > 0.0) else {
+                    return best;
+                };
+                for it in 0..params.lambda_iters {
+                    let lambda = (lo * hi).sqrt();
+                    let (centers, implied_outlier_weight) =
+                        &*memo.entry((it, lambda.to_bits())).or_insert_with(|| {
+                            let mut ls = params.ls;
+                            ls.seed = ls.seed.wrapping_add(it as u64 + 1);
+                            let cand = penalty_local_search(metric, points, k, lambda, ls);
+                            let implied = cand.outliers.iter().map(|&(_, w)| w).sum();
+                            (cand.centers, implied)
+                        });
+                    let evaluated =
+                        Solution::evaluate(metric, points, centers.clone(), budget, objective);
+                    if evaluated.cost < best.cost
+                        || (evaluated.cost == best.cost
+                            && evaluated.outlier_weight() < best.outlier_weight())
+                    {
+                        best = evaluated;
+                    }
+                    if *implied_outlier_weight > budget {
+                        lo = lambda;
+                    } else {
+                        hi = lambda;
+                    }
+                    if hi / lo <= 1.0 + 1e-9 {
+                        break;
+                    }
+                }
+                best
+            })
+            .collect()
+    }
+
+    fn lambda_bracket<M: Metric>(
+        metric: &M,
+        points: &WeightedSet,
+        centers: &[usize],
+    ) -> Option<(f64, f64)> {
+        let mut upper = 0.0f64;
+        let mut min_positive = f64::INFINITY;
+        for &id in points.ids() {
+            let d = centers
+                .iter()
+                .map(|&c| metric.dist(id, c))
+                .fold(f64::INFINITY, f64::min);
+            upper = upper.max(d);
+            if d > 0.0 {
+                min_positive = min_positive.min(d);
+            }
+        }
+        (upper != 0.0).then(|| ((upper * 1e-12).min(min_positive), upper))
+    }
 
     fn penalized_cost(state: &Assignment2C, weights: &[f64], penalty: f64) -> f64 {
         state
@@ -402,6 +480,18 @@ fn arb_tied(max_n: usize) -> impl Strategy<Value = (PointSet, WeightedSet)> {
 
 /// Block scoring against the frozen per-candidate scorer, over a
 /// Euclidean, a squared and a tie-heavy L1 matrix metric.
+/// The L1 distances of `ps` as a matrix metric (ties are common on the
+/// integer grids of `arb_tied`).
+fn l1_matrix(ps: &PointSet) -> MatrixMetric {
+    MatrixMetric::from_fn(ps.len(), |i, j| {
+        ps.point(i)
+            .iter()
+            .zip(ps.point(j))
+            .map(|(a, b)| (a - b).abs())
+            .sum()
+    })
+}
+
 fn check_block_matches_per_candidate(
     ps: &PointSet,
     w: &WeightedSet,
@@ -410,13 +500,7 @@ fn check_block_matches_per_candidate(
     params: LocalSearchParams,
 ) {
     let m = EuclideanMetric::new(ps);
-    let l1 = MatrixMetric::from_fn(ps.len(), |i, j| {
-        ps.point(i)
-            .iter()
-            .zip(ps.point(j))
-            .map(|(a, b)| (a - b).abs())
-            .sum()
-    });
+    let l1 = l1_matrix(ps);
     let solutions = [
         penalty_local_search(&m, w, k, penalty, params),
         penalty_local_search(&SquaredMetric::new(m), w, k, penalty, params),
@@ -487,4 +571,103 @@ fn block_swap_scoring_matches_per_candidate_scoring_under_threads() {
         };
         check_block_matches_per_candidate(&ps, &w, k, penalty, params);
     }
+}
+
+/// The grid solve, whose local searches share one row cache, against the
+/// frozen grid loop over the per-candidate oracle, in which every search
+/// computes its own rows: bit-identical for every budget on a Euclidean,
+/// a squared and an L1 matrix metric.
+fn check_grid_matches_uncached_oracle(
+    ps: &PointSet,
+    w: &WeightedSet,
+    k: usize,
+    budgets: &[f64],
+    params: BicriteriaParams,
+) {
+    fn check<M: Metric>(
+        m: &M,
+        w: &WeightedSet,
+        k: usize,
+        budgets: &[f64],
+        params: BicriteriaParams,
+    ) {
+        let grid = median_bicriteria_grid(m, w, k, budgets, Objective::Median, params);
+        let oracle = per_candidate::median_bicriteria_grid(m, w, k, budgets, params);
+        prop_assert_eq!(grid.len(), budgets.len());
+        for ((sol, want), &t) in grid.iter().zip(&oracle).zip(budgets) {
+            assert_bit_identical(sol, want, t);
+        }
+    }
+    let m = EuclideanMetric::new(ps);
+    check(&m, w, k, budgets, params);
+    check(&SquaredMetric::new(m), w, k, budgets, params);
+    check(&l1_matrix(ps), w, k, budgets, params);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Sharing one row cache across the grid's local searches changes no
+    /// answer, for budget lists with zero, duplicates and budgets at or
+    /// beyond the instance size.
+    #[test]
+    fn cached_grid_solve_is_bit_identical_to_uncached_grid_solve(
+        (ps, w) in arb_tied(30),
+        raw in proptest::collection::vec(0.0f64..12.0, 1..4),
+        k in 1usize..5,
+        eps_idx in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let n = ps.len() as f64;
+        let mut budgets = raw.clone();
+        budgets.extend([0.0, raw[0], n, n + 2.0]);
+        let params = BicriteriaParams {
+            eps: [0.0, 0.5, 1.0][eps_idx],
+            ls: LocalSearchParams {
+                seed,
+                ..LocalSearchParams::default()
+            },
+            ..BicriteriaParams::default()
+        };
+        check_grid_matches_uncached_oracle(&ps, &w, k, &budgets, params);
+    }
+}
+
+/// The same equivalence where the cache's byte cap binds: 4 MiB holds
+/// 655 rows of 800 entries, so the searches also score candidates whose
+/// rows are recomputed on every use. 160 candidates per iteration over
+/// the λ steps of seven budgets fill the cache early, and a few accepted
+/// swaps come from past the cap.
+#[test]
+fn cached_grid_solve_matches_uncached_grid_solve_past_the_byte_cap() {
+    let rows: Vec<Vec<f64>> = (0..800)
+        .map(|i| {
+            let c = (i % 6) as f64 * 30.0;
+            vec![
+                c + ((i * 37) % 17) as f64 * 0.4,
+                ((i * 53) % 19) as f64 * 0.4,
+            ]
+        })
+        .collect();
+    let ps = PointSet::from_rows(&rows);
+    let w = WeightedSet::from_parts(
+        (0..rows.len()).collect(),
+        (0..rows.len()).map(|i| (i % 3) as f64).collect(),
+    );
+    let params = BicriteriaParams {
+        lambda_iters: 8,
+        ls: LocalSearchParams {
+            max_iters: 4,
+            swap_candidates: 160,
+            ..LocalSearchParams::default()
+        },
+        ..BicriteriaParams::default()
+    };
+    check_grid_matches_uncached_oracle(
+        &ps,
+        &w,
+        6,
+        &[0.0, 2.0, 4.0, 16.0, 16.0, 64.0, 900.0],
+        params,
+    );
 }
